@@ -6,9 +6,9 @@ switches, and exits at another leaf — and **every hop runs its own
 Gigaflow cache** over its own pipeline.  This module lifts the existing
 machinery to that layout without forking any of it:
 
-* each switch is one :class:`~repro.serve.ServingDriver` (the serving
-  loop is proven bit-identical to the streaming and batched loops at
-  any micro-batch size, so per-switch buffering is free of
+* each switch is one :class:`~repro.serve.ServingDriver` (a thin
+  adapter over the engine's one loop, proven bit-identical to offline
+  replay at any micro-batch size, so per-switch buffering is free of
   result-skew), with its own pipeline instance, caching system and
   optional :class:`~repro.core.controller.AdaptiveController`;
 * the :class:`FabricController` plays the SDN controller: it owns the

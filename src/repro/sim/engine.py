@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from itertools import islice
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ..cache.base import FlowCache
 from ..cache.hierarchy import CacheHierarchy
@@ -27,9 +28,11 @@ from ..obs.telemetry import Telemetry
 from ..obs.trace import EV_FASTPATH_INVALIDATE, EV_FASTPATH_REPLAY
 from ..pipeline.pipeline import Pipeline
 from ..pipeline.traversal import Disposition, Traversal
-from ..workload.pipebench import Trace
+from ..workload.pipebench import CHUNK_SIZE, Trace
 from .fastpath import FastPathIndex
 from .results import SimResult, TimeSeries
+
+_INF = float("inf")
 
 
 @dataclass
@@ -241,15 +244,6 @@ class SimConfig:
             this knob *does* steer the simulation: the controller
             mutates live cache knobs, so results may (intentionally)
             differ from a controller-off run.
-        batch: Drive full-trace runs through the batched/columnar inner
-            loop (:mod:`repro.sim.batch`): packet timestamps and flow
-            indices are decoded from the trace's numpy columns in
-            chunks, and sweep/telemetry checks are amortised per chunk
-            instead of per packet.  Metric-faithful: every
-            :class:`SimResult` field is bit-identical either way
-            (``tests/test_sharded.py`` pins it differentially).
-            Ignored for :meth:`VSwitchSimulator.run_packets` callers,
-            which stream arbitrary packet iterables.
         timeouts: Optional per-rule adaptive idle-timeout predictor
             (:mod:`repro.core.timeouts`).  Accepts a predictor name
             (:data:`~repro.core.timeouts.PREDICTOR_NAMES`: ``"static"``,
@@ -277,8 +271,8 @@ class SimConfig:
             exposed as :attr:`VSwitchSimulator.churn` and its digest
             lands in ``SimResult.telemetry["churn"]`` when telemetry is
             attached.  Deadlines are driven purely by packet timestamps,
-            so churn-bearing runs stay bit-identical across the
-            streaming, batched and serving loops
+            so churn-bearing runs stay bit-identical across every packet
+            source — trace, packet stream, serving micro-batches
             (``tests/test_serve_differential.py`` pins it).  Like
             ``controller``, this knob steers the simulation.  Requires a
             Megaflow or Gigaflow cache (no hierarchy support).
@@ -299,7 +293,6 @@ class SimConfig:
     eviction: Optional[str] = None
     controller: object = None
     timeouts: object = None
-    batch: bool = True
     churn: object = None
     shards: int = 1
 
@@ -331,21 +324,27 @@ class VSwitchSimulator:
         self.churn = None
 
     def run(self, trace: Trace) -> SimResult:
-        if self.config.batch and hasattr(trace, "columns"):
-            # Lazy import: batch.py imports from this module.
-            from .batch import run_batched
+        """Replay a columnar trace through the engine loop."""
+        state = self.start()
+        flows = [pilot.flow for pilot in trace.pilots]
+        for times, indices, _sizes in trace.chunks():
+            state.feed(times, map(flows.__getitem__, indices))
+        return state.finish()
 
-            return run_batched(self, trace)
-        return self.run_packets(trace.packets(), len(trace))
+    def run_packets(self, packets: Iterable[Packet]) -> SimResult:
+        """Replay any packet iterable through the engine loop."""
+        state = self.start()
+        packets = iter(packets)
+        for chunk in iter(lambda: list(islice(packets, CHUNK_SIZE)), []):
+            state.feed_packets(chunk)
+        return state.finish()
 
-    def _prepare_run(self):
-        """Per-run setup shared by the streaming and batched loops.
+    def start(self) -> "RunState":
+        """Per-run setup; returns the run's :class:`RunState`.
 
-        Installs the eviction policy, wires telemetry + controller,
-        builds the fast-path memo, and returns the hoisted hot-path
-        hooks ``(tel, ctl, lookup, on_lookup, on_start)``.  Kept in
-        lockstep with :mod:`repro.sim.batch` — any new knob consumed
-        here is automatically honoured by both loops.
+        Installs the eviction policy and timeout predictor, wires
+        telemetry + controller, builds the fast-path memo and the churn
+        runtime.  Every packet source drives the returned state.
         """
         config = self.config
         system = self.system
@@ -412,163 +411,231 @@ class VSwitchSimulator:
             )
         else:
             self.churn = None
-        lookup = (
-            self.fastpath.lookup if self.fastpath is not None
-            else cache.lookup
-        )
-        # Hoisted hot-path hook: one bound-method load per run instead
-        # of attribute chains per packet.
-        on_lookup = tel.on_lookup if tel is not None else None
-        return tel, ctl, lookup, on_lookup
+        return RunState(self, tel, ctl)
 
-    def _finish_run(
-        self,
-        tel,
-        ctl,
-        now: float,
-        packet_count: int,
-        peak_entries: int,
-        cache_probes: int,
-        latency_sum: float,
-        miss_cost_sum: float,
-        cpu: CpuBreakdown,
-        series: TimeSeries,
-    ) -> SimResult:
+
+class RunState:
+    """One run of the engine loop, fed by any packet source.
+
+    Built by :meth:`VSwitchSimulator.start`.  It owns the run's
+    accumulators and the three parts of the Fig. 5a workflow loop:
+
+    * :meth:`fire_cadence` — idle sweeps, then telemetry snapshots, then
+      churn, all keyed off packet timestamps, behind one combined
+      :attr:`deadline`;
+    * :meth:`feed` — the inline hit path, one deadline compare per
+      packet;
+    * :meth:`miss` — slow-path execute → install → cost accounting.
+
+    Packet sources are thin adapters over :meth:`feed`:
+    :meth:`VSwitchSimulator.run` hands it trace column chunks,
+    :meth:`VSwitchSimulator.run_packets` chunks of ``Packet`` objects and
+    :class:`~repro.serve.ServingDriver` one call per micro-batch.  The
+    loop state survives between calls, so chunk and micro-batch
+    boundaries are invisible in the result.  :meth:`finish` assembles
+    the :class:`SimResult`.
+    """
+
+    def __init__(self, simulator: VSwitchSimulator, tel, ctl):
+        config = simulator.config
+        self.simulator = simulator
+        self.pipeline = simulator.pipeline
+        self.system = simulator.system
+        self.cache = simulator.system.cache
+        self.tel = tel
+        self.ctl = ctl
+        self.churn = simulator.churn
+        # Hoisted hot-path hooks: one bound-method load per run instead
+        # of attribute chains per packet.
+        self.lookup = (
+            simulator.fastpath.lookup if simulator.fastpath is not None
+            else self.cache.lookup
+        )
+        self.on_lookup = tel.on_lookup if tel is not None else None
+        self.slowpath = config.latency.slowpath
+        self.hit_us = config.latency.hit_us
+        self.max_idle = config.max_idle
+        self.sweep_interval = config.sweep_interval
+
+        self.cpu = CpuBreakdown()
+        self.series = TimeSeries(config.window)
+        self.latency_sum = 0.0
+        self.miss_cost_sum = 0.0
+        self.packet_count = 0
+        self.peak_entries = 0
+        self.cache_probes = 0
+        #: Simulated time of the last fed packet.
+        self.now = 0.0
+        self.next_sweep = (
+            self.sweep_interval if self.max_idle > 0 else _INF
+        )
+        # Snapshots ride the sweep cadence but fire even when idle
+        # expiry is disabled (max_idle == 0).
+        self.next_snapshot = self.sweep_interval if tel is not None else _INF
+        self._rearm()
+
+    def _rearm(self) -> None:
+        """Re-arm :attr:`deadline`, the earliest pending cadence deadline
+        (sweep, snapshot or churn)."""
+        self.deadline = min(
+            self.next_sweep,
+            self.next_snapshot,
+            self.churn.deadline if self.churn is not None else _INF,
+        )
+
+    def fire_cadence(self, now: float) -> None:
+        """Fire every cadence deadline ``now`` has crossed, in the one
+        shared order: idle sweeps, then snapshots, then churn."""
+        tel = self.tel
+        cache = self.cache
+        interval = self.sweep_interval
+        # Fixed cadence: fire one sweep per elapsed interval, at its
+        # scheduled time, so sparse traces neither slide the schedule
+        # nor skip sweeps.  The sweep's evictions carry its own time.
+        while now >= self.next_sweep:
+            due = self.next_sweep
+            if tel is not None:
+                tel.now = due
+            evicted = cache.evict_idle(due, self.max_idle)
+            if tel is not None:
+                tel.on_sweep(due, evicted)
+            self.next_sweep = due + interval
+        if tel is not None:
+            tel.now = now
+            while now >= self.next_snapshot:
+                due = self.next_snapshot
+                snapshot = tel.sample(cache, due)
+                if self.ctl is not None:
+                    self.ctl.on_sweep(due, snapshot)
+                self.next_snapshot = due + interval
+        churn = self.churn
+        if churn is not None:
+            # Control-plane churn rides its own deadlines (events +
+            # reval ticks); its evictions carry the boundary packet's
+            # time.
+            while now >= churn.deadline:
+                churn.advance(churn.deadline)
+        self._rearm()
+
+    def feed(self, times: Sequence[float], flows: Iterable) -> None:
+        """Run packets given as parallel timestamps and flow keys."""
+        lookup = self.lookup
+        on_lookup = self.on_lookup
+        tel = self.tel
+        record = self.series.record
+        miss = self.miss
+        hit_us = self.hit_us
+        deadline = self.deadline
+        latency_sum = self.latency_sum
+        cache_probes = self.cache_probes
+        now = self.now
+        for now, flow in zip(times, flows):
+            if now >= deadline:
+                self.fire_cadence(now)
+                deadline = self.deadline
+            if on_lookup is None:
+                result = lookup(flow, now)
+            else:
+                # Caches stamp evictions inside a lookup (a hierarchy's
+                # microflow promotion) with the telemetry clock.
+                tel.now = now
+                result = lookup(flow, now)
+                on_lookup(result, now, flow)
+            cache_probes += result.groups_probed
+            if result.hit:
+                latency_sum += hit_us
+                record(now, True)
+            else:
+                record(now, False)
+                latency_sum += miss(flow, now)
+        self.packet_count += len(times)
+        self.latency_sum = latency_sum
+        self.cache_probes = cache_probes
+        self.now = now
+
+    def feed_packets(self, packets: Iterable[Packet]) -> int:
+        """:meth:`feed` for ``Packet`` objects; returns how many."""
+        if not isinstance(packets, list):
+            packets = list(packets)
+        self.feed(
+            [packet.timestamp for packet in packets],
+            [packet.flow for packet in packets],
+        )
+        return len(packets)
+
+    def miss(self, flow, now: float) -> float:
+        """Slow path for one missed packet: execute the pipeline, install
+        the traversal, charge CPU; returns the packet's latency (µs)."""
+        pipeline = self.pipeline
+        stats = pipeline.stats
+        cpu = self.cpu
+        slowpath = self.slowpath
+        groups_before = stats.groups_probed
+        traversal = pipeline.execute(flow)
+        groups = stats.groups_probed - groups_before
+        lookups = len(traversal)
+        cpu.charge_pipeline(lookups, groups)
+        miss_us = slowpath.pipeline_us(lookups, groups)
+
+        if traversal.disposition != Disposition.CONTROLLER:
+            cost = self.system.install(traversal, pipeline.generation, now)
+            if self.tel is not None:
+                self.tel.on_install(
+                    now, lookups, cost.rules_generated, cost.rules_installed,
+                )
+            if cost.partition_cells:
+                cells = cost.partition_cells // max(lookups, 1)
+                cpu.charge_partition(lookups, cells)
+                miss_us += slowpath.partition_us(lookups, cells)
+            cpu.charge_rulegen(cost.rules_generated, cost.rules_installed)
+            miss_us += slowpath.rulegen_us(cost.rules_generated)
+            if cost.rules_installed:
+                entries = self.cache.entry_count()
+                if entries > self.peak_entries:
+                    self.peak_entries = entries
+
+        self.miss_cost_sum += miss_us
+        return miss_us
+
+    def finish(self) -> SimResult:
         """Finalize telemetry and assemble the :class:`SimResult`."""
+        simulator = self.simulator
         system = self.system
-        cache = system.cache
+        cache = self.cache
+        tel = self.tel
         telemetry_summary = None
         if tel is not None:
-            tel.finalize(cache, now, self.fastpath)
+            tel.finalize(cache, self.now, simulator.fastpath)
             telemetry_summary = tel.summary()
-            if ctl is not None:
-                telemetry_summary["controller"] = ctl.summary()
-            if self.timeout_predictor is not None:
+            if self.ctl is not None:
+                telemetry_summary["controller"] = self.ctl.summary()
+            if simulator.timeout_predictor is not None:
                 telemetry_summary["timeouts"] = (
-                    self.timeout_predictor.summary()
+                    simulator.timeout_predictor.summary()
                 )
             if self.churn is not None:
                 telemetry_summary["churn"] = self.churn.digest()
 
         stats = cache.stats.snapshot()
         misses = stats.misses
+        packet_count = self.packet_count
         return SimResult(
             system=system.name,
             stats=stats,
             packets=packet_count,
             entry_count=cache.entry_count(),
-            peak_entries=max(peak_entries, cache.entry_count()),
+            peak_entries=max(self.peak_entries, cache.entry_count()),
             capacity=cache.capacity_total(),
             avg_latency_us=(
-                latency_sum / packet_count if packet_count else 0.0
+                self.latency_sum / packet_count if packet_count else 0.0
             ),
-            avg_miss_cost_us=miss_cost_sum / misses if misses else 0.0,
-            cpu=cpu,
-            series=series,
+            avg_miss_cost_us=self.miss_cost_sum / misses if misses else 0.0,
+            cpu=self.cpu,
+            series=self.series,
             sharing=system.sharing(),
             coverage=system.coverage(),
-            cache_probes=cache_probes,
+            cache_probes=self.cache_probes,
             telemetry=telemetry_summary,
-        )
-
-    def run_packets(
-        self, packets: Iterable[Packet], expected: Optional[int] = None
-    ) -> SimResult:
-        config = self.config
-        system = self.system
-        cache = system.cache
-        pipeline = self.pipeline
-        slowpath = config.latency.slowpath
-        cpu = CpuBreakdown()
-        series = TimeSeries(config.window)
-        latency_sum = 0.0
-        miss_cost_sum = 0.0
-        packet_count = 0
-        peak_entries = 0
-        cache_probes = 0
-        max_idle = config.max_idle
-        sweep_interval = config.sweep_interval
-        hit_us = config.latency.hit_us
-        next_sweep = sweep_interval
-        tel, ctl, lookup, on_lookup = self._prepare_run()
-        churn = self.churn
-        next_snapshot = sweep_interval
-
-        now = 0.0
-        for packet in packets:
-            now = packet.timestamp
-            packet_count += 1
-            if max_idle > 0:
-                # Fixed cadence: fire one sweep per elapsed interval, at
-                # its scheduled time, so sparse traces neither slide the
-                # schedule nor skip sweeps.
-                while now >= next_sweep:
-                    evicted = cache.evict_idle(next_sweep, max_idle)
-                    if tel is not None:
-                        tel.on_sweep(next_sweep, evicted)
-                    next_sweep += sweep_interval
-            if tel is not None:
-                tel.now = now
-                # Snapshots ride the sweep cadence but fire even when
-                # idle expiry is disabled (max_idle == 0).
-                while now >= next_snapshot:
-                    snapshot = tel.sample(cache, next_snapshot)
-                    if ctl is not None:
-                        ctl.on_sweep(next_snapshot, snapshot)
-                    next_snapshot += sweep_interval
-            if churn is not None:
-                # Control-plane churn rides its own deadlines (events +
-                # reval ticks), fired after sweeps and snapshots — the
-                # cadence order every loop must share.
-                while now >= churn.deadline:
-                    churn.advance(churn.deadline)
-
-            result = lookup(packet.flow, now)
-            cache_probes += result.groups_probed
-            if on_lookup is not None:
-                on_lookup(result, now, packet.flow)
-            if result.hit:
-                latency_sum += hit_us
-                series.record(now, hit=True)
-                continue
-
-            series.record(now, hit=False)
-            groups_before = pipeline.stats.groups_probed
-            traversal = pipeline.execute(packet.flow)
-            groups = pipeline.stats.groups_probed - groups_before
-            lookups = len(traversal)
-            cpu.charge_pipeline(lookups, groups)
-            miss_us = slowpath.pipeline_us(lookups, groups)
-
-            if traversal.disposition != Disposition.CONTROLLER:
-                cost = system.install(traversal, pipeline.generation, now)
-                if tel is not None:
-                    tel.on_install(
-                        now, lookups, cost.rules_generated,
-                        cost.rules_installed,
-                    )
-                if cost.partition_cells:
-                    cpu.charge_partition(
-                        lookups, cost.partition_cells // max(lookups, 1)
-                    )
-                    miss_us += slowpath.partition_us(
-                        lookups, cost.partition_cells // max(lookups, 1)
-                    )
-                cpu.charge_rulegen(
-                    cost.rules_generated, cost.rules_installed
-                )
-                miss_us += slowpath.rulegen_us(cost.rules_generated)
-                if cost.rules_installed:
-                    entries = cache.entry_count()
-                    if entries > peak_entries:
-                        peak_entries = entries
-
-            latency_sum += miss_us
-            miss_cost_sum += miss_us
-
-        return self._finish_run(
-            tel, ctl, now, packet_count, peak_entries, cache_probes,
-            latency_sum, miss_cost_sum, cpu, series,
         )
 
 

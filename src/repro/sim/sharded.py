@@ -8,7 +8,7 @@ that layout in simulation: flows are hash-partitioned by flow signature
 across ``SimConfig.shards`` worker *processes* (stdlib
 ``multiprocessing``, fork start method), each worker drives the classic
 :class:`~repro.sim.engine.VSwitchSimulator` over its slice of the trace
-through the batched inner loop, and the per-worker
+through the engine loop's columnar adapter, and the per-worker
 :class:`~repro.sim.results.SimResult` records plus telemetry registries
 merge losslessly in the parent (see ``docs/sharding.md`` for the merge
 semantics and their one caveat, ``peak_entries``).

@@ -217,6 +217,12 @@ class PipebenchWorkload:
         return build_trace(chosen, profile, seed=seed, offset=offset)
 
 
+#: Rows :meth:`Trace.chunks` decodes per ``tolist()`` call.  Large enough
+#: to amortise the numpy→list conversion, small enough to keep the
+#: decoded lists cheap.
+CHUNK_SIZE = 4096
+
+
 class Trace:
     """A time-ordered packet stream, stored compactly as numpy arrays."""
 
@@ -256,11 +262,30 @@ class Trace:
     def columns(self):
         """The raw columnar storage ``(times, flow_indices, sizes)``.
 
-        Exposed for the batched simulator loop (:mod:`repro.sim.batch`)
-        and the sharded trace splitter — callers must treat the arrays
-        as read-only.
+        Exposed for :meth:`chunks` and the sharded trace splitter —
+        callers must treat the arrays as read-only.
         """
         return self._times, self._flow_indices, self._sizes
+
+    def chunks(
+        self, size: int = CHUNK_SIZE
+    ) -> Iterator[Tuple[list, list, list]]:
+        """Yield ``(times, flow_indices, sizes)`` as plain lists, ``size``
+        rows at a time.
+
+        One ``ndarray.tolist()`` call per column and chunk — far cheaper
+        than per-element ``float()``/``int()`` coercion.  The engine's
+        trace replay and :func:`repro.serve.stream_trace` both decode
+        through here.
+        """
+        times, flow_indices, sizes = self.columns()
+        for pos in range(0, len(times), size):
+            end = pos + size
+            yield (
+                times[pos:end].tolist(),
+                flow_indices[pos:end].tolist(),
+                sizes[pos:end].tolist(),
+            )
 
     def subset(self, mask: np.ndarray) -> "Trace":
         """Row-filtered copy sharing this trace's pilot table.

@@ -16,6 +16,9 @@ enforce it three ways:
 * **Property test** — hypothesis drives arbitrary batch sizes at the
   richest config; shrinking a failure lands on the smallest batch size
   that breaks bit-identity, which names the guilty cadence directly.
+* **Trace timestamps** — with tracing on, every packet source records
+  the same events at the same times, and idle-sweep evictions carry
+  their sweep's scheduled time.
 
 Churn mutates the pipeline, so *every run builds a fresh identically
 seeded universe* (workload, trace, schedule) — sharing a pipeline
@@ -200,3 +203,49 @@ class TestBatchSizeProperty:
             run_serving(config_name, schedule_name, batch_size)
         )
         assert served == baseline(config_name, schedule_name)
+
+
+class TestTraceTimestamps:
+    """Trace events, timestamps included, are a function of the packet
+    stream alone: every packet source records the same events, and an
+    idle sweep's evictions carry the sweep's own scheduled time."""
+
+    @staticmethod
+    def events(source, batch_size=0):
+        workload = seeded_workload()
+        trace = seeded_trace(workload)
+        telemetry = Telemetry(tracing=True)
+        config = SimConfig(
+            max_idle=1.0, sweep_interval=0.5, telemetry=telemetry
+        )
+        cache = GigaflowSystem(num_tables=4, table_capacity=64)
+        if source == "serve":
+            ServingDriver(
+                workload.pipeline, cache, config,
+                ServeConfig(batch_size=batch_size),
+            ).serve(stream_trace(trace))
+        else:
+            simulator = VSwitchSimulator(workload.pipeline, cache, config)
+            if source == "run":
+                simulator.run(trace)
+            else:
+                simulator.run_packets(trace.packets())
+        return [event.to_dict() for event in telemetry.tracer.events()]
+
+    def test_every_packet_source_traces_identically(self):
+        reference = self.events("run")
+        assert reference == self.events("run_packets")
+        assert reference == self.events("serve", batch_size=1)
+        assert reference == self.events("serve", batch_size=37)
+
+    def test_idle_evictions_carry_their_sweep_time(self):
+        events = self.events("run")
+        idle = [
+            (record, following)
+            for record, following in zip(events, events[1:])
+            if record["event"] == "evict" and record["reason"] == "idle"
+        ]
+        assert idle, "the trace must exercise idle expiry"
+        for record, following in idle:
+            assert following["event"] == "sweep"
+            assert record["ts"] == following["ts"]

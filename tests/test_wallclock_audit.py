@@ -4,9 +4,9 @@ Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
 *packet timestamps*.  A single ``time.time()`` (or ``datetime.now()``)
 creeping into one of these modules would make results depend on host
-speed and break the lockstep contract (streaming == batched == serving
-== fabric), so the modules below are pinned wall-clock-free by AST
-inspection.  Wall-clock is legitimately used elsewhere — the CLI's
+speed and break the bit-identity contract (trace replay == packet
+stream == serving == fabric), so the modules below are pinned
+wall-clock-free by AST inspection.  Wall-clock is legitimately used elsewhere — the CLI's
 throughput timers, the sharded driver's worker watchdog, the HTTP ops
 surface — which is exactly why those modules are *not* on this list.
 """
@@ -25,7 +25,6 @@ AUDITED = [
     "serve.py",
     "sim/churn.py",
     "sim/engine.py",
-    "sim/batch.py",
     "net/fabric.py",
     "net/topology.py",
 ]
